@@ -27,7 +27,7 @@ use harmony_metrics::{MetricBus, MetricEvent, MetricRegistry};
 use harmony_ns::{HPath, InstanceRegistry, Namespace};
 use harmony_predict::{model_for_option, PredictionContext};
 use harmony_resources::{Allocation, Cluster, Matcher};
-use harmony_rsl::schema::{BundleSpec, OptionSpec};
+use harmony_rsl::schema::{parse_bundle_script, BundleSpec, OptionSpec};
 use harmony_rsl::Value;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -35,10 +35,11 @@ use serde::{Deserialize, Serialize};
 use crate::app::{AppInstance, BundleState, ChosenConfig, InstanceId};
 use crate::candidates::{enumerate, Candidate};
 use crate::error::CoreError;
+use crate::events::{EventOutcome, HarmonyEvent};
 use crate::feedback::{calibration_factor, FeedbackConfig};
 use crate::journal::{EventJournal, JournalKind, JournalTail, PhaseTimings};
 use crate::objective::Objective;
-use crate::persist::{PersistedState, RecoveryInfo, WalEvent, PERSIST_VERSION};
+use crate::persist::{PersistedState, RecoveryInfo, PERSIST_VERSION};
 use crate::pruning::PruningMode;
 use crate::scheduler::{CoalescePolicy, DecisionScheduler};
 use crate::session::{LeaseConfig, RetireReason, RetirementRecord, SessionState};
@@ -329,8 +330,8 @@ pub struct Controller {
     /// oracle catches it. Never set outside tests.
     chaos_skip_touch_fold: bool,
     /// Chaos hook for crash-point enumeration (`harmony-mc`): when set,
-    /// [`Controller::renew_lease`] still applies the renewal but skips
-    /// logging it — re-creating the "verb mutates state without a
+    /// [`Controller::handle_event`] still applies `Renew` events but skips
+    /// logging them — re-creating the "verb mutates state without a
     /// log-before-apply event" bug class, which only WAL-replay
     /// equivalence checking can catch (the live state stays correct; the
     /// recovered state diverges). Never set outside tests.
@@ -339,8 +340,8 @@ pub struct Controller {
     /// (opened through [`crate::persist::StateStore`]). `Arc` + interior
     /// buffering in the writer let the concurrent read path (touches,
     /// polls, metric reports) append under a shared borrow. `None` (the
-    /// default, and always during WAL replay) makes every logging hook a
-    /// no-op — behavior is bit-for-bit the non-persistent controller.
+    /// default, and always during WAL replay) makes logging a no-op —
+    /// behavior is bit-for-bit the non-persistent controller.
     wal: Option<std::sync::Arc<harmony_wal::WalWriter>>,
     /// How this controller came to be, when recovered from a state
     /// directory (surfaced in [`crate::SystemSnapshot`]).
@@ -442,6 +443,247 @@ impl Controller {
     }
 
     // ------------------------------------------------------------------
+    // The event entry points. Every input, the typed verbs below
+    // included, is a `HarmonyEvent` that passes through one of these two
+    // functions: the first for inputs that need exclusive access, the
+    // second for the concurrent read path. Each logs the event to the WAL
+    // before its body runs, so log-before-apply holds by construction.
+    // ------------------------------------------------------------------
+
+    /// Handles one input under exclusive access, possibly triggering
+    /// adaptation. The event is WAL-logged before it is applied; the
+    /// read-path inputs (`Touch`, `Poll`, `Metric`) take the same route as
+    /// the `&self` verbs [`Controller::touch`],
+    /// [`Controller::take_pending_vars`] and [`Controller::record_metric`].
+    ///
+    /// # Errors
+    ///
+    /// RSL parse errors from `BundleSetup` scripts,
+    /// [`CoreError::UnknownInstance`] for inputs naming an unregistered
+    /// instance (except `Disconnect` and `Poll`, which ignore it), and
+    /// placement and re-evaluation errors.
+    pub fn handle_event(&mut self, event: HarmonyEvent) -> Result<EventOutcome, CoreError> {
+        if let Some(outcome) = self.handle_read_event(&event) {
+            return outcome;
+        }
+        if !(self.chaos_skip_wal_renew && matches!(event, HarmonyEvent::Renew { .. })) {
+            self.wal_log(&event);
+        }
+        let unknown = |id: &InstanceId| CoreError::UnknownInstance { name: id.to_string() };
+        Ok(match event {
+            HarmonyEvent::Startup { app } => {
+                let serial = self.registry.allocate(&app);
+                let id = InstanceId::new(app, serial);
+                self.apps.insert(id.clone(), AppInstance::new(id.clone(), self.now));
+                self.arrival_order.push(id.clone());
+                self.pending_vars.insert(id.clone(), Mutex::new(Vec::new()));
+                let deadline = self.now + self.config.lease.duration;
+                self.sessions.insert(id.clone(), SessionState::new(deadline));
+                self.touches.insert(id.clone(), AtomicU64::new(0));
+                self.metrics.inc_counter("controller.startups");
+                self.metrics.set_gauge("controller.sessions.active", self.sessions.len() as f64);
+                self.journal_append(JournalKind::Event, format!("startup {id}"));
+                EventOutcome::Registered(id)
+            }
+            HarmonyEvent::BundleSetup { instance, script } => {
+                let spec = parse_bundle_script(&script)?;
+                EventOutcome::Decisions(self.place_bundle(&instance, spec)?)
+            }
+            HarmonyEvent::AddBundle { instance, spec } => {
+                EventOutcome::Decisions(self.place_bundle(&instance, spec)?)
+            }
+            HarmonyEvent::AppEnded { instance } => {
+                EventOutcome::Decisions(self.retire(&instance, RetireReason::Ended)?)
+            }
+            HarmonyEvent::MetricReport { name, time, value } => {
+                if let Some(id) = metric_instance(&name) {
+                    self.renew(&id);
+                }
+                // Rejected (non-finite) samples stay off the bus so
+                // subscribers never see NaN/inf.
+                if self.record_sample(&name, time, value) {
+                    self.bus.publish(MetricEvent::new(name, time, value));
+                }
+                EventOutcome::Quiet
+            }
+            HarmonyEvent::Heartbeat { instance } => {
+                if !self.renew(&instance) {
+                    return Err(unknown(&instance));
+                }
+                self.journal_append(JournalKind::Event, format!("heartbeat {instance}"));
+                EventOutcome::Quiet
+            }
+            HarmonyEvent::Renew { instance } => {
+                if !self.renew(&instance) {
+                    return Err(unknown(&instance));
+                }
+                EventOutcome::Quiet
+            }
+            HarmonyEvent::Disconnect { instance } => {
+                // Apply any read-path touch first so activity that happened
+                // before the disconnect extends the lease before the grace
+                // cap shortens it.
+                self.fold_touch(&instance);
+                let cap = self.now + self.config.lease.disconnect_grace;
+                if let Some(s) = self.sessions.get_mut(&instance) {
+                    if !s.disconnected {
+                        s.disconnected = true;
+                        s.deadline = s.deadline.min(cap);
+                        self.metrics.inc_counter("controller.sessions.disconnects");
+                    }
+                }
+                EventOutcome::Quiet
+            }
+            HarmonyEvent::Reattach { instance } => {
+                let Some(app) = self.apps.get(&instance) else {
+                    return Err(unknown(&instance));
+                };
+                // Replay the full current state (idempotent: updates are
+                // keyed by path), replacing whatever was buffered before
+                // the disconnect.
+                let writes: Vec<(HPath, Value)> = app
+                    .bundles
+                    .iter()
+                    .filter_map(|b| b.current.as_ref().map(|cfg| (&b.spec.name, cfg)))
+                    .flat_map(|(bundle, cfg)| config_writes(&instance, bundle, cfg))
+                    .collect();
+                self.renew(&instance);
+                self.metrics.inc_counter("controller.sessions.reattached");
+                if let Some(buf) = self.pending_vars.get(&instance) {
+                    *buf.lock() = writes;
+                }
+                self.journal_append(JournalKind::Event, format!("reattach {instance}"));
+                EventOutcome::Quiet
+            }
+            HarmonyEvent::Reap { now } => EventOutcome::Decisions(self.reap(now)?),
+            HarmonyEvent::Periodic => {
+                let mut records = self.reap(self.now)?;
+                if self.coalescing() {
+                    // The periodic pass is the coarse fallback heartbeat:
+                    // flush whatever marks accumulated (reaping above may
+                    // have added some) instead of re-evaluating blindly.
+                    records.extend(self.fire_scheduler()?);
+                } else {
+                    records.extend(
+                        self.reevaluate_triggered(JournalKind::Event, "periodic".to_string())?,
+                    );
+                }
+                EventOutcome::Decisions(records)
+            }
+            HarmonyEvent::Tick => {
+                let due = self.scheduler.due(&self.config.coalesce, self.now);
+                EventOutcome::Decisions(if due { self.fire_scheduler()? } else { Vec::new() })
+            }
+            HarmonyEvent::Flush => EventOutcome::Decisions(self.fire_scheduler()?),
+            HarmonyEvent::Reevaluate => EventOutcome::Decisions(
+                self.reevaluate_triggered(JournalKind::Event, "reevaluate".to_string())?,
+            ),
+            HarmonyEvent::NodeJoined(decl) => {
+                let detail = format!("node-joined {}", decl.name);
+                self.cluster.add_node(decl)?;
+                EventOutcome::Decisions(self.reevaluate_triggered(JournalKind::Event, detail)?)
+            }
+            HarmonyEvent::LinkJoined(decl) => {
+                let detail = format!("link-joined {} {}", decl.a, decl.b);
+                self.cluster.add_link(decl)?;
+                EventOutcome::Decisions(self.reevaluate_triggered(JournalKind::Event, detail)?)
+            }
+            HarmonyEvent::NodeLeft { name } => {
+                // Release every allocation touching the node *before*
+                // removing it so capacity is restored exactly; the
+                // displaced bundles then have no incumbent, so the
+                // re-evaluation re-places them wherever they fit (a bundle
+                // that fits nowhere stays unconfigured, not an error).
+                let mut displaced: Vec<(InstanceId, String)> = Vec::new();
+                for id in &self.arrival_order {
+                    let Some(app) = self.apps.get(id) else { continue };
+                    for b in &app.bundles {
+                        let cur = b.current.as_ref();
+                        if cur.is_some_and(|c| c.alloc.nodes.iter().any(|n| n.node == name)) {
+                            displaced.push((id.clone(), b.spec.name.clone()));
+                        }
+                    }
+                }
+                for (id, bundle) in &displaced {
+                    let state = self.apps.get_mut(id).and_then(|app| app.bundle_mut(bundle));
+                    if let Some(cfg) = state.and_then(|b| b.current.take()) {
+                        // Ignore missing-node errors: the node is leaving.
+                        let _ = self.cluster.release(&cfg.alloc);
+                    }
+                }
+                self.cluster.remove_node(&name);
+                self.metrics.inc_counter("controller.evictions");
+                let detail = format!("node-left {name}");
+                EventOutcome::Decisions(self.reevaluate_triggered(JournalKind::Event, detail)?)
+            }
+            HarmonyEvent::Touch { .. }
+            | HarmonyEvent::Poll { .. }
+            | HarmonyEvent::Metric { .. } => {
+                unreachable!("read-path inputs returned through handle_read_event")
+            }
+        })
+    }
+
+    /// Handles one read-path input — `Touch`, `Poll` or `Metric` — under
+    /// a shared borrow, so it can run beside other readers. The input is
+    /// WAL-logged just before it changes state; one that changes nothing
+    /// (an unknown or clock-rejected touch, an empty poll) is not logged.
+    /// Returns `None` for every other event: those need
+    /// [`Controller::handle_event`].
+    pub(crate) fn handle_read_event(
+        &self,
+        event: &HarmonyEvent,
+    ) -> Option<Result<EventOutcome, CoreError>> {
+        Some(match event {
+            HarmonyEvent::Touch { instance } => match self.touches.get(instance) {
+                None => Err(CoreError::UnknownInstance { name: instance.to_string() }),
+                Some(stamp) => {
+                    // `fetch_max` on the bit pattern is a max on the value
+                    // ONLY for non-negative finite doubles: the sign bit
+                    // puts every negative value's bits above every positive
+                    // one's, and NaN's all-ones exponent would poison the
+                    // max forever. [`Controller::set_time`] already refuses
+                    // non-finite clocks, but clamp here too so a bad stamp
+                    // can never reach the atomic regardless of how `now`
+                    // was produced. A rejected stamp still reports the
+                    // instance as registered — the touch is dropped, not
+                    // the session.
+                    if self.now.is_finite() && self.now >= 0.0 {
+                        self.wal_log(event);
+                        stamp.fetch_max(self.now.to_bits(), AtomicOrdering::AcqRel);
+                    }
+                    Ok(EventOutcome::Quiet)
+                }
+            },
+            HarmonyEvent::Poll { instance } => {
+                let mut drained = Vec::new();
+                if let Some(buf) = self.pending_vars.get(instance) {
+                    let mut buf = buf.lock();
+                    // Only non-empty drains change state; logging empty
+                    // polls would bloat the WAL with every idle fetch.
+                    if !buf.is_empty() {
+                        self.wal_log(event);
+                        drained = std::mem::take(&mut *buf);
+                    }
+                }
+                Ok(EventOutcome::Drained(drained))
+            }
+            HarmonyEvent::Metric { name, time, value } => {
+                // Logged even when the sample will be rejected: the
+                // rejection leaves a `metric-rejected` journal entry that
+                // replay must reproduce for journal-sequence parity.
+                self.wal_log(event);
+                Ok(if self.record_sample(name, *time, *value) {
+                    EventOutcome::Quiet
+                } else {
+                    EventOutcome::Rejected
+                })
+            }
+            _ => return None,
+        })
+    }
+
+    // ------------------------------------------------------------------
     // The provenance journal.
     // ------------------------------------------------------------------
 
@@ -477,15 +719,13 @@ impl Controller {
     /// per-instance response-time histogram. Returns `false` when the
     /// sample is non-finite and was rejected.
     pub fn record_metric(&self, name: &str, time: f64, value: f64) -> bool {
-        // Logged even when the sample will be rejected: the rejection
-        // leaves a `metric-rejected` journal entry that replay must
-        // reproduce for journal-sequence parity.
-        self.wal_log(&WalEvent::Metric { now: self.now, name: name.to_string(), time, value });
-        self.record_metric_inner(name, time, value)
+        let event = HarmonyEvent::Metric { name: name.to_string(), time, value };
+        matches!(self.handle_read_event(&event), Some(Ok(EventOutcome::Quiet)))
     }
 
-    /// [`Controller::record_metric`] without the WAL hook.
-    pub(crate) fn record_metric_inner(&self, name: &str, time: f64, value: f64) -> bool {
+    /// The body of [`Controller::record_metric`], shared with
+    /// `MetricReport`.
+    fn record_sample(&self, name: &str, time: f64, value: f64) -> bool {
         if !self.metrics.record(name, time, value) {
             self.journal_append(JournalKind::Event, format!("metric-rejected {name}"));
             return false;
@@ -553,23 +793,10 @@ impl Controller {
     /// Registers a new application instance with a system-chosen id
     /// (`harmony_startup`).
     pub fn startup(&mut self, app: &str) -> InstanceId {
-        self.wal_log(&WalEvent::Startup { now: self.now, app: app.to_string() });
-        self.startup_inner(app)
-    }
-
-    /// [`Controller::startup`] without the WAL hook, for callers that
-    /// already logged the triggering event (the `handle_event` arms).
-    pub(crate) fn startup_inner(&mut self, app: &str) -> InstanceId {
-        let id = InstanceId::new(app, self.registry.allocate(app));
-        self.apps.insert(id.clone(), AppInstance::new(id.clone(), self.now));
-        self.arrival_order.push(id.clone());
-        self.pending_vars.insert(id.clone(), Mutex::new(Vec::new()));
-        self.sessions.insert(id.clone(), SessionState::new(self.now + self.config.lease.duration));
-        self.touches.insert(id.clone(), AtomicU64::new(0));
-        self.metrics.inc_counter("controller.startups");
-        self.metrics.set_gauge("controller.sessions.active", self.sessions.len() as f64);
-        self.journal_append(JournalKind::Event, format!("startup {id}"));
-        id
+        match self.handle_event(HarmonyEvent::Startup { app: app.to_string() }) {
+            Ok(EventOutcome::Registered(id)) => id,
+            other => unreachable!("startup always registers, got {other:?}"),
+        }
     }
 
     /// Adds a bundle to a registered instance (`harmony_bundle_setup`),
@@ -588,12 +815,12 @@ impl Controller {
         id: &InstanceId,
         spec: BundleSpec,
     ) -> Result<Vec<DecisionRecord>, CoreError> {
-        self.wal_log(&WalEvent::Bundle { now: self.now, id: id.clone(), spec: spec.clone() });
-        self.add_bundle_inner(id, spec)
+        self.handle_event(HarmonyEvent::AddBundle { instance: id.clone(), spec })
+            .map(EventOutcome::into_decisions)
     }
 
-    /// [`Controller::add_bundle`] without the WAL hook.
-    pub(crate) fn add_bundle_inner(
+    /// The body of [`Controller::add_bundle`], shared with `BundleSetup`.
+    fn place_bundle(
         &mut self,
         id: &InstanceId,
         spec: BundleSpec,
@@ -699,13 +926,8 @@ impl Controller {
     ///
     /// [`CoreError::UnknownInstance`] for unregistered ids.
     pub fn end(&mut self, id: &InstanceId) -> Result<Vec<DecisionRecord>, CoreError> {
-        self.wal_log(&WalEvent::End { now: self.now, id: id.clone() });
-        self.end_inner(id)
-    }
-
-    /// [`Controller::end`] without the WAL hook.
-    pub(crate) fn end_inner(&mut self, id: &InstanceId) -> Result<Vec<DecisionRecord>, CoreError> {
-        self.retire(id, RetireReason::Ended)
+        self.handle_event(HarmonyEvent::AppEnded { instance: id.clone() })
+            .map(EventOutcome::into_decisions)
     }
 
     /// Retires an instance for `reason`: releases its resources, records
@@ -762,14 +984,12 @@ impl Controller {
     /// verb). Returns `false` when the instance is not registered — the
     /// caller should tell the client to start over.
     pub fn renew_lease(&mut self, id: &InstanceId) -> bool {
-        if !self.chaos_skip_wal_renew {
-            self.wal_log(&WalEvent::Renew { now: self.now, id: id.clone() });
-        }
-        self.renew_lease_inner(id)
+        self.handle_event(HarmonyEvent::Renew { instance: id.clone() }).is_ok()
     }
 
-    /// [`Controller::renew_lease`] without the WAL hook.
-    pub(crate) fn renew_lease_inner(&mut self, id: &InstanceId) -> bool {
+    /// The body of [`Controller::renew_lease`], shared with `Heartbeat`,
+    /// `MetricReport` and `Reattach`.
+    fn renew(&mut self, id: &InstanceId) -> bool {
         let duration = self.config.lease.duration;
         let now = self.now;
         match self.sessions.get_mut(id) {
@@ -793,32 +1013,12 @@ impl Controller {
         }
     }
 
-    /// [`Controller::renew_lease_for_metric`] without the WAL hook.
-    pub(crate) fn renew_lease_for_metric_inner(&mut self, name: &str) {
-        if let Some(id) = metric_instance(name) {
-            self.renew_lease_inner(&id);
-        }
-    }
-
     /// Marks an instance's connection as dropped: the lease is shortened
     /// to expire within the configured disconnect grace, so a crashed
     /// client is reaped quickly while a reconnecting one can still
     /// [`reattach`](Controller::reattach) in time.
     pub fn mark_disconnected(&mut self, id: &InstanceId) {
-        self.wal_log(&WalEvent::Disconnect { now: self.now, id: id.clone() });
-        // Apply any read-path touch first so activity that happened before
-        // the disconnect extends the lease before the grace cap shortens
-        // it.
-        self.fold_touch(id);
-        let grace = self.config.lease.disconnect_grace;
-        let now = self.now;
-        if let Some(s) = self.sessions.get_mut(id) {
-            if !s.disconnected {
-                s.disconnected = true;
-                s.deadline = s.deadline.min(now + grace);
-                self.metrics.inc_counter("controller.sessions.disconnects");
-            }
-        }
+        let _ = self.handle_event(HarmonyEvent::Disconnect { instance: id.clone() });
     }
 
     /// Re-establishes a session after a reconnect: renews the lease,
@@ -832,31 +1032,7 @@ impl Controller {
     /// (expired and reaped, or never known) — the client should fall back
     /// to a fresh `startup` plus bundle re-registration.
     pub fn reattach(&mut self, id: &InstanceId) -> Result<(), CoreError> {
-        self.wal_log(&WalEvent::Reattach { now: self.now, id: id.clone() });
-        self.reattach_inner(id)
-    }
-
-    /// [`Controller::reattach`] without the WAL hook.
-    pub(crate) fn reattach_inner(&mut self, id: &InstanceId) -> Result<(), CoreError> {
-        if !self.apps.contains_key(id) {
-            return Err(CoreError::UnknownInstance { name: id.to_string() });
-        }
-        self.renew_lease_inner(id);
-        self.metrics.inc_counter("controller.sessions.reattached");
-        // Replay the full current state (idempotent: updates are keyed by
-        // path), replacing whatever was buffered before the disconnect.
-        let mut writes: Vec<(HPath, Value)> = Vec::new();
-        if let Some(app) = self.apps.get(id) {
-            for bundle in &app.bundles {
-                if let Some(cfg) = &bundle.current {
-                    writes.extend(config_writes(id, &bundle.spec.name, cfg));
-                }
-            }
-        }
-        if let Some(buf) = self.pending_vars.get(id) {
-            *buf.lock() = writes;
-        }
-        Ok(())
+        self.handle_event(HarmonyEvent::Reattach { instance: id.clone() }).map(drop)
     }
 
     /// Retires every instance whose lease has expired by `now`, exactly as
@@ -868,15 +1044,11 @@ impl Controller {
     ///
     /// Propagates re-evaluation errors from the retirement path.
     pub fn reap_expired(&mut self, now: f64) -> Result<Vec<DecisionRecord>, CoreError> {
-        self.wal_log(&WalEvent::Reap { now });
-        self.reap_expired_inner(now)
+        self.handle_event(HarmonyEvent::Reap { now }).map(EventOutcome::into_decisions)
     }
 
-    /// [`Controller::reap_expired`] without the WAL hook.
-    pub(crate) fn reap_expired_inner(
-        &mut self,
-        now: f64,
-    ) -> Result<Vec<DecisionRecord>, CoreError> {
+    /// The body of [`Controller::reap_expired`], shared with `Periodic`.
+    fn reap(&mut self, now: f64) -> Result<Vec<DecisionRecord>, CoreError> {
         self.set_time(now);
         if !self.chaos_skip_touch_fold {
             self.fold_touches();
@@ -931,25 +1103,7 @@ impl Controller {
     ///
     /// Returns `false` when the instance is not registered.
     pub fn touch(&self, id: &InstanceId) -> bool {
-        match self.touches.get(id) {
-            Some(stamp) => {
-                // `fetch_max` on the bit pattern is a max on the value
-                // ONLY for non-negative finite doubles: the sign bit puts
-                // every negative value's bits above every positive one's,
-                // and NaN's all-ones exponent would poison the max
-                // forever. [`Controller::set_time`] already refuses
-                // non-finite clocks, but clamp here too so a bad stamp can
-                // never reach the atomic regardless of how `now` was
-                // produced. A rejected stamp still reports the instance as
-                // registered — the touch is dropped, not the session.
-                if self.now.is_finite() && self.now >= 0.0 {
-                    self.wal_log(&WalEvent::Touch { now: self.now, id: id.clone() });
-                    stamp.fetch_max(self.now.to_bits(), AtomicOrdering::AcqRel);
-                }
-                true
-            }
-            None => false,
-        }
+        matches!(self.handle_read_event(&HarmonyEvent::Touch { instance: id.clone() }), Some(Ok(_)))
     }
 
     /// [`Controller::touch`] keyed by a metric report's
@@ -1041,15 +1195,12 @@ impl Controller {
     /// Propagates re-evaluation errors.
     pub fn service_scheduler(&mut self, now: f64) -> Result<Vec<DecisionRecord>, CoreError> {
         self.set_time(now);
-        if self.scheduler.due(&self.config.coalesce, self.now) {
-            // Only *firing* ticks are WAL-logged: a quiet tick merely
-            // advances the clock, which the next logged event's `now`
-            // reproduces on replay.
-            self.wal_log(&WalEvent::Tick { now: self.now });
-            self.fire_scheduler()
-        } else {
-            Ok(Vec::new())
+        // Only *firing* ticks are events: a quiet tick merely advances the
+        // clock, which the next logged event's `now` reproduces on replay.
+        if !self.scheduler.due(&self.config.coalesce, self.now) {
+            return Ok(Vec::new());
         }
+        self.handle_event(HarmonyEvent::Tick).map(EventOutcome::into_decisions)
     }
 
     /// Runs the coalesced re-evaluation immediately if any marks are
@@ -1060,23 +1211,16 @@ impl Controller {
     ///
     /// Propagates re-evaluation errors.
     pub fn flush_scheduler(&mut self) -> Result<Vec<DecisionRecord>, CoreError> {
-        if self.scheduler.pending() > 0 {
-            self.wal_log(&WalEvent::Flush { now: self.now });
+        // A flush with no marks pending changes nothing and is no event.
+        if self.scheduler.pending() == 0 {
+            return Ok(Vec::new());
         }
-        self.flush_scheduler_inner()
-    }
-
-    /// [`Controller::flush_scheduler`] without the WAL hook.
-    pub(crate) fn flush_scheduler_inner(&mut self) -> Result<Vec<DecisionRecord>, CoreError> {
-        if self.scheduler.pending() > 0 {
-            self.fire_scheduler()
-        } else {
-            Ok(Vec::new())
-        }
+        self.handle_event(HarmonyEvent::Flush).map(EventOutcome::into_decisions)
     }
 
     /// One coalesced re-evaluation covering every pending mark: the single
-    /// joint optimization that replaces N per-event passes.
+    /// joint optimization that replaces N per-event passes (a no-op when
+    /// nothing is pending).
     fn fire_scheduler(&mut self) -> Result<Vec<DecisionRecord>, CoreError> {
         let (n, seqs) = self.scheduler.take();
         if n == 0 {
@@ -1123,14 +1267,13 @@ impl Controller {
     /// Propagates evaluation errors; placement failures of *candidates*
     /// are not errors (the candidate is skipped).
     pub fn reevaluate(&mut self) -> Result<Vec<DecisionRecord>, CoreError> {
-        self.wal_log(&WalEvent::Reevaluate { now: self.now });
-        self.reevaluate_triggered(JournalKind::Event, "reevaluate".to_string())
+        self.handle_event(HarmonyEvent::Reevaluate).map(EventOutcome::into_decisions)
     }
 
     /// A full re-evaluation whose decisions carry `detail` as provenance —
-    /// used by event arms (node joins, departures) that want the *event*,
-    /// not the generic "reevaluate", on the record.
-    pub(crate) fn reevaluate_triggered(
+    /// the event arms put the *event* (node joins, departures, the
+    /// periodic timer) on the record.
+    fn reevaluate_triggered(
         &mut self,
         kind: JournalKind,
         detail: String,
@@ -1238,17 +1381,10 @@ impl Controller {
     /// since its last poll). Takes `&self` — each instance's buffer is
     /// behind its own mutex — so polls run on the concurrent read path.
     pub fn take_pending_vars(&self, id: &InstanceId) -> Vec<(HPath, Value)> {
-        let drained = self
-            .pending_vars
-            .get(id)
-            .map(|buf| std::mem::take(&mut *buf.lock()))
-            .unwrap_or_default();
-        // Only non-empty drains change state; logging empty polls would
-        // bloat the WAL with every idle fetch.
-        if !drained.is_empty() {
-            self.wal_log(&WalEvent::Poll { now: self.now, id: id.clone() });
+        match self.handle_read_event(&HarmonyEvent::Poll { instance: id.clone() }) {
+            Some(Ok(EventOutcome::Drained(vars))) => vars,
+            _ => Vec::new(),
         }
-        drained
     }
 
     /// Drains the buffered variable updates (the server side of
@@ -1765,26 +1901,18 @@ impl Controller {
     // Crash-consistent persistence (see `crate::persist`).
     // ------------------------------------------------------------------
 
-    /// Appends one event to the attached WAL; a no-op without one. Errors
+    /// Appends one record — the controller clock and `event`, as the JSON
+    /// pair `[now, event]` — to the attached WAL; a no-op without one. Errors
     /// are counted (`controller.persistence.append_errors`), never
     /// propagated — a failing disk must not take the serving path down
     /// with it.
-    fn wal_log(&self, ev: &WalEvent) {
+    fn wal_log(&self, event: &HarmonyEvent) {
         let Some(wal) = &self.wal else { return };
-        let payload = serde_json::to_string(ev).expect("wal events serialize");
+        let payload = serde_json::to_string(&(self.now, event)).expect("wal records serialize");
         if wal.append(payload.as_bytes()).is_ok() {
             self.metrics.inc_counter("controller.persistence.appends");
         } else {
             self.metrics.inc_counter("controller.persistence.append_errors");
-        }
-    }
-
-    /// Logs an incoming [`HarmonyEvent`] wholesale (the replay-safe form:
-    /// `BundleSetup` scripts re-parse identically, `Periodic` re-reaps at
-    /// the same clock).
-    pub(crate) fn wal_log_event(&self, event: &crate::events::HarmonyEvent) {
-        if self.wal.is_some() {
-            self.wal_log(&WalEvent::Event { now: self.now, event: event.clone() });
         }
     }
 
@@ -1933,60 +2061,6 @@ impl Controller {
         }
         ctl.metrics.set_gauge("controller.sessions.active", ctl.sessions.len() as f64);
         Ok(ctl)
-    }
-
-    /// Re-applies one WAL event during recovery. The clock is restored
-    /// first (each event carries the time it originally executed at), then
-    /// the event replays through the *public* verb — the WAL is not
-    /// attached yet, so the logging hooks are no-ops and nothing is
-    /// re-logged. Errors are discarded: an operation that failed live
-    /// fails identically on replay (the controller is deterministic), and
-    /// that failure may still have mutated state that must be reproduced.
-    pub fn apply_wal_event(&mut self, ev: WalEvent) {
-        debug_assert!(self.wal.is_none(), "replaying into a WAL-attached controller re-logs");
-        self.set_time(ev.now());
-        match ev {
-            WalEvent::Event { event, .. } => {
-                let _ = self.handle_event(event);
-            }
-            WalEvent::Startup { app, .. } => {
-                let _ = self.startup(&app);
-            }
-            WalEvent::Bundle { id, spec, .. } => {
-                let _ = self.add_bundle(&id, spec);
-            }
-            WalEvent::End { id, .. } => {
-                let _ = self.end(&id);
-            }
-            WalEvent::Renew { id, .. } => {
-                let _ = self.renew_lease(&id);
-            }
-            WalEvent::Reattach { id, .. } => {
-                let _ = self.reattach(&id);
-            }
-            WalEvent::Disconnect { id, .. } => self.mark_disconnected(&id),
-            WalEvent::Touch { id, .. } => {
-                let _ = self.touch(&id);
-            }
-            WalEvent::Poll { id, .. } => {
-                let _ = self.take_pending_vars(&id);
-            }
-            WalEvent::Metric { name, time, value, .. } => {
-                let _ = self.record_metric(&name, time, value);
-            }
-            WalEvent::Reap { now } => {
-                let _ = self.reap_expired(now);
-            }
-            WalEvent::Tick { now } => {
-                let _ = self.service_scheduler(now);
-            }
-            WalEvent::Flush { .. } => {
-                let _ = self.flush_scheduler();
-            }
-            WalEvent::Reevaluate { .. } => {
-                let _ = self.reevaluate();
-            }
-        }
     }
 }
 

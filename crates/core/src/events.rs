@@ -4,16 +4,24 @@
 //! application and performance events. When an event happens, it triggers
 //! the automatic application adaptation system, and each of the option
 //! bundles for each application gets re-evaluated" (§5).
+//!
+//! [`HarmonyEvent`] is the one spelling of a controller input: what
+//! embeddings send through [`Controller::handle_event`], what the typed
+//! verbs (`startup`, `add_bundle`, `touch`, ...) route through, and what
+//! the write-ahead log stores and recovery replays (see
+//! [`crate::persist`]).
+//!
+//! [`Controller::handle_event`]: crate::Controller::handle_event
 
-use harmony_rsl::schema::{parse_bundle_script, LinkDecl, NodeDecl};
+use harmony_ns::HPath;
+use harmony_rsl::schema::{BundleSpec, LinkDecl, NodeDecl};
+use harmony_rsl::Value;
 use serde::{Deserialize, Serialize};
 
 use crate::app::InstanceId;
-use crate::controller::{Controller, DecisionRecord};
-use crate::error::CoreError;
-use crate::journal::JournalKind;
+use crate::controller::DecisionRecord;
 
-/// An event delivered to the Harmony process.
+/// An input delivered to the Harmony process.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum HarmonyEvent {
     /// An application registered (`harmony_startup`).
@@ -29,12 +37,22 @@ pub enum HarmonyEvent {
         /// RSL script containing one `harmonyBundle` statement.
         script: String,
     },
+    /// An already-parsed bundle for a registered instance
+    /// ([`Controller::add_bundle`](crate::Controller::add_bundle)).
+    AddBundle {
+        /// The receiving instance.
+        instance: InstanceId,
+        /// The bundle specification.
+        spec: BundleSpec,
+    },
     /// An application is terminating (`harmony_end`).
     AppEnded {
         /// The departing instance.
         instance: InstanceId,
     },
-    /// A performance measurement arrived through the metric interface.
+    /// A performance measurement arrived through the metric interface:
+    /// renews the owning lease, records the sample, and publishes it on
+    /// the metric bus.
     MetricReport {
         /// Dotted metric name.
         name: String,
@@ -43,9 +61,48 @@ pub enum HarmonyEvent {
         /// Sampled value.
         value: f64,
     },
-    /// A lease-renewal heartbeat arrived from an application.
+    /// A read-path metric sample
+    /// ([`Controller::record_metric`](crate::Controller::record_metric)):
+    /// recorded and journaled only. Non-finite samples are rejected but
+    /// still journaled.
+    Metric {
+        /// Dotted metric name.
+        name: String,
+        /// Timestamp (controller clock, seconds).
+        time: f64,
+        /// Sampled value.
+        value: f64,
+    },
+    /// A lease-renewal heartbeat arrived from an application (journaled;
+    /// an unknown instance is an error).
     Heartbeat {
         /// The renewing instance.
+        instance: InstanceId,
+    },
+    /// A write-path lease renewal
+    /// ([`Controller::renew_lease`](crate::Controller::renew_lease)); not
+    /// journaled.
+    Renew {
+        /// The renewing instance.
+        instance: InstanceId,
+    },
+    /// A read-path lease touch
+    /// ([`Controller::touch`](crate::Controller::touch)).
+    Touch {
+        /// The touched instance.
+        instance: InstanceId,
+    },
+    /// A pending-variable drain
+    /// ([`Controller::take_pending_vars`](crate::Controller::take_pending_vars)).
+    Poll {
+        /// The polling instance.
+        instance: InstanceId,
+    },
+    /// An application's connection dropped
+    /// ([`Controller::mark_disconnected`](crate::Controller::mark_disconnected)):
+    /// its lease is capped to the disconnect grace.
+    Disconnect {
+        /// The disconnected instance.
         instance: InstanceId,
     },
     /// A reconnecting application re-established its session; current
@@ -54,9 +111,24 @@ pub enum HarmonyEvent {
         /// The reattaching instance.
         instance: InstanceId,
     },
+    /// A lease sweep at `now`
+    /// ([`Controller::reap_expired`](crate::Controller::reap_expired)).
+    Reap {
+        /// The sweep time (also advances the clock).
+        now: f64,
+    },
     /// The periodic re-evaluation timer fired. Expired session leases are
     /// reaped before the re-evaluation pass.
     Periodic,
+    /// A scheduler tick: runs the coalesced re-evaluation if it is due
+    /// ([`Controller::service_scheduler`](crate::Controller::service_scheduler)).
+    Tick,
+    /// A forced coalescing-window flush
+    /// ([`Controller::flush_scheduler`](crate::Controller::flush_scheduler)).
+    Flush,
+    /// A full re-evaluation
+    /// ([`Controller::reevaluate`](crate::Controller::reevaluate)).
+    Reevaluate,
     /// A node joined the metacomputer.
     NodeJoined(NodeDecl),
     /// A link was published.
@@ -76,153 +148,30 @@ pub enum EventOutcome {
     Registered(InstanceId),
     /// Zero or more reconfiguration decisions were applied.
     Decisions(Vec<DecisionRecord>),
+    /// A poll drained these buffered variable updates.
+    Drained(Vec<(HPath, Value)>),
+    /// The input was refused (a non-finite metric sample); only a journal
+    /// entry records it.
+    Rejected,
     /// The event was absorbed with no decisions.
     Quiet,
 }
 
-impl Controller {
-    /// Handles one event, possibly triggering adaptation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates RSL parse errors from `BundleSetup` scripts and
-    /// controller errors from registration/placement.
-    pub fn handle_event(&mut self, event: HarmonyEvent) -> Result<EventOutcome, CoreError> {
-        self.wal_log_event(&event);
-        self.handle_event_inner(event)
-    }
-
-    /// [`Controller::handle_event`] minus the WAL hook; the event was
-    /// already logged (or arrived from replay).
-    pub(crate) fn handle_event_inner(
-        &mut self,
-        event: HarmonyEvent,
-    ) -> Result<EventOutcome, CoreError> {
-        match event {
-            HarmonyEvent::Startup { app } => Ok(EventOutcome::Registered(self.startup_inner(&app))),
-            HarmonyEvent::BundleSetup { instance, script } => {
-                let spec = parse_bundle_script(&script)?;
-                Ok(EventOutcome::Decisions(self.add_bundle_inner(&instance, spec)?))
-            }
-            HarmonyEvent::AppEnded { instance } => {
-                Ok(EventOutcome::Decisions(self.end_inner(&instance)?))
-            }
-            HarmonyEvent::MetricReport { name, time, value } => {
-                self.renew_lease_for_metric_inner(&name);
-                // Journals, rejects non-finite samples, and feeds the
-                // per-instance response-time histogram. Rejected samples
-                // stay off the bus so subscribers never see NaN/inf.
-                if self.record_metric_inner(&name, time, value) {
-                    self.metric_bus().publish(harmony_metrics::MetricEvent::new(name, time, value));
-                }
-                Ok(EventOutcome::Quiet)
-            }
-            HarmonyEvent::Heartbeat { instance } => {
-                if self.renew_lease_inner(&instance) {
-                    self.journal_append(JournalKind::Event, format!("heartbeat {instance}"));
-                    Ok(EventOutcome::Quiet)
-                } else {
-                    Err(CoreError::UnknownInstance { name: instance.to_string() })
-                }
-            }
-            HarmonyEvent::Reattach { instance } => {
-                self.reattach_inner(&instance)?;
-                self.journal_append(JournalKind::Event, format!("reattach {instance}"));
-                Ok(EventOutcome::Quiet)
-            }
-            HarmonyEvent::Periodic => {
-                let mut records = self.reap_expired_inner(self.now())?;
-                if self.coalescing() {
-                    // The periodic pass is the coarse fallback heartbeat:
-                    // flush whatever marks accumulated (reaping above may
-                    // have added some) instead of re-evaluating blindly.
-                    records.extend(self.flush_scheduler_inner()?);
-                } else {
-                    records.extend(
-                        self.reevaluate_triggered(JournalKind::Event, "periodic".to_string())?,
-                    );
-                }
-                Ok(EventOutcome::Decisions(records))
-            }
-            HarmonyEvent::NodeJoined(decl) => {
-                let name = decl.name.clone();
-                self.cluster.add_node(decl)?;
-                let records =
-                    self.reevaluate_triggered(JournalKind::Event, format!("node-joined {name}"))?;
-                Ok(EventOutcome::Decisions(records))
-            }
-            HarmonyEvent::LinkJoined(decl) => {
-                let detail = format!("link-joined {} {}", decl.a, decl.b);
-                self.cluster.add_link(decl)?;
-                Ok(EventOutcome::Decisions(self.reevaluate_triggered(JournalKind::Event, detail)?))
-            }
-            HarmonyEvent::NodeLeft { name } => {
-                Ok(EventOutcome::Decisions(self.evict_node_inner(&name)?))
-            }
+impl EventOutcome {
+    /// The decisions this outcome carries (none for other outcomes).
+    pub fn into_decisions(self) -> Vec<DecisionRecord> {
+        match self {
+            EventOutcome::Decisions(records) => records,
+            _ => Vec::new(),
         }
-    }
-
-    /// Removes a node from the cluster, displacing every configuration
-    /// whose allocation touched it, then re-places the displaced bundles.
-    ///
-    /// # Errors
-    ///
-    /// Propagates re-placement errors; a displaced bundle that no longer
-    /// fits anywhere is left unconfigured (not an error — it may fit after
-    /// other departures).
-    pub fn evict_node(&mut self, name: &str) -> Result<Vec<DecisionRecord>, CoreError> {
-        self.wal_log_event(&HarmonyEvent::NodeLeft { name: name.to_string() });
-        self.evict_node_inner(name)
-    }
-
-    /// [`Controller::evict_node`] minus the WAL hook.
-    pub(crate) fn evict_node_inner(
-        &mut self,
-        name: &str,
-    ) -> Result<Vec<DecisionRecord>, CoreError> {
-        // Find affected (instance, bundle) pairs and release their
-        // allocations *before* removing the node so capacity is restored
-        // exactly.
-        let mut displaced: Vec<(InstanceId, String)> = Vec::new();
-        let ids: Vec<InstanceId> = self.arrival_order.clone();
-        for id in &ids {
-            let Some(app) = self.apps.get(id) else { continue };
-            let touched: Vec<String> = app
-                .bundles
-                .iter()
-                .filter(|b| {
-                    b.current
-                        .as_ref()
-                        .map(|c| c.alloc.nodes.iter().any(|n| n.node == name))
-                        .unwrap_or(false)
-                })
-                .map(|b| b.spec.name.clone())
-                .collect();
-            for bundle in touched {
-                displaced.push((id.clone(), bundle));
-            }
-        }
-        for (id, bundle) in &displaced {
-            let Some(app) = self.apps.get_mut(id) else { continue };
-            if let Some(state) = app.bundle_mut(bundle) {
-                if let Some(cfg) = state.current.take() {
-                    // Ignore missing-node errors: the node is leaving.
-                    let _ = self.cluster.release(&cfg.alloc);
-                }
-            }
-        }
-        self.cluster.remove_node(name);
-        self.metrics.inc_counter("controller.evictions");
-        // Re-place everything (displaced bundles have no incumbent, so any
-        // feasible candidate wins); the departure is the provenance.
-        self.reevaluate_triggered(JournalKind::Event, format!("node-left {name}"))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::controller::ControllerConfig;
+    use crate::controller::{Controller, ControllerConfig};
+    use crate::error::CoreError;
     use harmony_resources::Cluster;
     use harmony_rsl::listings::{sp2_cluster, FIG2B_BAG};
 

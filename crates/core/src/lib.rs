@@ -47,7 +47,7 @@ pub use events::{EventOutcome, HarmonyEvent};
 pub use feedback::FeedbackConfig;
 pub use journal::{EventJournal, JournalEntry, JournalKind, JournalTail, PhaseTimings};
 pub use objective::Objective;
-pub use persist::{PersistedState, RecoveryInfo, StateStore, WalEvent};
+pub use persist::{PersistedState, RecoveryInfo, StateStore};
 pub use pruning::{PruningMode, PruningPlan};
 pub use scheduler::{CoalescePolicy, DecisionScheduler, SchedulerState};
 pub use session::{LeaseConfig, RetireReason, RetirementRecord, SessionState};

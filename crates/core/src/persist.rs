@@ -1,26 +1,33 @@
-//! Crash-consistent controller persistence: WAL events, lossless state
-//! snapshots, and the [`StateStore`] that ties them to a state directory.
+//! Crash-consistent controller persistence: the WAL record format,
+//! lossless state snapshots, and the [`StateStore`] that ties them to a
+//! state directory.
 //!
 //! ## What gets logged
 //!
-//! The WAL records *external inputs*, not derived state: every
-//! state-changing verb the embedding can invoke (startup, bundle setup,
-//! end, lease renewals and touches, disconnects, polls, metric reports,
-//! reaps, scheduler ticks, node membership events) is logged as one
-//! [`WalEvent`] carrying the controller-clock time it executed at.
-//! Decisions, retirements, and journal entries are deliberately *not*
-//! logged — the optimizer is deterministic (bit-identical across thread
-//! counts), so replaying the inputs re-derives them exactly.
+//! The WAL records *external inputs*, not derived state. Every input is a
+//! [`HarmonyEvent`] — the typed verbs (`startup`, `add_bundle`, `touch`,
+//! `take_pending_vars`, ...) route through one too — and each record is
+//! the JSON pair `[now, event]`: the controller clock when the input
+//! arrived, then the event. There is one logging site per lock mode:
+//! [`Controller::handle_event`] for inputs that need exclusive access, and
+//! one `&self` entry behind [`Controller::touch`],
+//! [`Controller::take_pending_vars`] and [`Controller::record_metric`] for
+//! the read path. Each logs before the event's body runs. Inputs that
+//! change nothing (an empty poll, a touch of an unknown instance, a
+//! scheduler tick or flush with nothing pending) are not logged. Decisions,
+//! retirements, and journal entries are deliberately *not* logged — the
+//! optimizer is deterministic (bit-identical across thread counts), so
+//! replaying the inputs re-derives them exactly.
 //!
 //! ## Recovery sequence
 //!
 //! [`StateStore::open`] scans the directory for `harmony-<gen>.snap` /
 //! `harmony-<gen>.wal` pairs, loads the newest snapshot that parses and
 //! validates (falling back to older generations on damage), replays the
-//! matching WAL tail — tolerating a torn final record, refusing a
-//! corrupted middle one — then starts a fresh generation: the recovered
-//! state is snapshotted, a new WAL is attached, and older generations
-//! beyond the previous pair are purged.
+//! matching WAL tail through [`Controller::replay_wal`] — tolerating a
+//! torn final record, refusing a corrupted middle one — then starts a
+//! fresh generation: the recovered state is snapshotted, a new WAL is
+//! attached, and older generations beyond the previous pair are purged.
 //!
 //! ## Durability window
 //!
@@ -41,7 +48,6 @@ use std::sync::Arc;
 
 use harmony_ns::{HPath, InstanceRegistry, Namespace};
 use harmony_resources::Cluster;
-use harmony_rsl::schema::BundleSpec;
 use harmony_rsl::Value;
 use harmony_wal::{read_wal, StateDir, WalConfig, WalTail, WalWriter};
 use serde::{Deserialize, Serialize};
@@ -55,194 +61,14 @@ use crate::scheduler::SchedulerState;
 use crate::session::{RetirementRecord, SessionState};
 
 /// Version stamp of [`PersistedState`]; a mismatch refuses recovery
-/// rather than misinterpreting fields.
-pub const PERSIST_VERSION: u32 = 1;
+/// rather than misinterpreting fields. Version 2 logs `[now, event]`
+/// records; version 1 state directories, whose WAL spelled inputs
+/// differently, are refused.
+pub const PERSIST_VERSION: u32 = 2;
 
 /// Default number of WAL appends between automatic compacting snapshots
 /// (see [`StateStore::maybe_checkpoint`]).
 pub const DEFAULT_SNAPSHOT_EVERY: u64 = 4096;
-
-/// One state-changing input, as serialized into the WAL.
-///
-/// Every variant carries `now`, the controller clock at the moment the
-/// verb ran: replay restores the clock before re-applying the verb, so
-/// clock advances that produced no event of their own (quiet scheduler
-/// ticks) are reproduced lazily by the next logged event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum WalEvent {
-    /// A [`HarmonyEvent`] delivered through
-    /// [`Controller::handle_event`] — the whole event, so bundle scripts
-    /// and node declarations replay verbatim.
-    Event {
-        /// Controller clock at execution.
-        now: f64,
-        /// The delivered event.
-        event: HarmonyEvent,
-    },
-    /// A direct [`Controller::startup`] call.
-    Startup {
-        /// Controller clock at execution.
-        now: f64,
-        /// Application name.
-        app: String,
-    },
-    /// A direct [`Controller::add_bundle`] call (already-parsed spec).
-    Bundle {
-        /// Controller clock at execution.
-        now: f64,
-        /// The receiving instance.
-        id: InstanceId,
-        /// The bundle specification.
-        spec: BundleSpec,
-    },
-    /// A direct [`Controller::end`] call.
-    End {
-        /// Controller clock at execution.
-        now: f64,
-        /// The departing instance.
-        id: InstanceId,
-    },
-    /// A write-path lease renewal ([`Controller::renew_lease`]).
-    Renew {
-        /// Controller clock at execution.
-        now: f64,
-        /// The renewing instance.
-        id: InstanceId,
-    },
-    /// A session reattach ([`Controller::reattach`]).
-    Reattach {
-        /// Controller clock at execution.
-        now: f64,
-        /// The reattaching instance.
-        id: InstanceId,
-    },
-    /// A connection-drop mark ([`Controller::mark_disconnected`]).
-    Disconnect {
-        /// Controller clock at execution.
-        now: f64,
-        /// The disconnected instance.
-        id: InstanceId,
-    },
-    /// A read-path lease touch ([`Controller::touch`]).
-    Touch {
-        /// Controller clock at execution.
-        now: f64,
-        /// The touched instance.
-        id: InstanceId,
-    },
-    /// A non-empty pending-variable drain
-    /// ([`Controller::take_pending_vars`]); empty drains are no-ops and
-    /// are not logged.
-    Poll {
-        /// Controller clock at execution.
-        now: f64,
-        /// The polling instance.
-        id: InstanceId,
-    },
-    /// A read-path metric report ([`Controller::record_metric`]). Logged
-    /// even when the sample is non-finite and rejected, so the
-    /// `metric-rejected` journal entry replays too.
-    Metric {
-        /// Controller clock at execution.
-        now: f64,
-        /// Dotted metric name.
-        name: String,
-        /// Sample timestamp.
-        time: f64,
-        /// Sample value.
-        value: f64,
-    },
-    /// A lease sweep ([`Controller::reap_expired`]).
-    Reap {
-        /// The sweep time (also advances the clock).
-        now: f64,
-    },
-    /// A scheduler tick that fired a coalescing window
-    /// ([`Controller::service_scheduler`]); non-firing ticks only advance
-    /// the clock and are not logged.
-    Tick {
-        /// The tick time (also advances the clock).
-        now: f64,
-    },
-    /// A forced window flush ([`Controller::flush_scheduler`]) with marks
-    /// pending; no-op flushes are not logged.
-    Flush {
-        /// Controller clock at execution.
-        now: f64,
-    },
-    /// A full re-evaluation ([`Controller::reevaluate`]).
-    Reevaluate {
-        /// Controller clock at execution.
-        now: f64,
-    },
-}
-
-impl WalEvent {
-    /// Every variant name, in declaration order. The WAL-coverage guard
-    /// test diffs this against the variants a full-verb run actually
-    /// produces and replays, so a new verb cannot silently skip
-    /// persistence. Keep in sync with [`WalEvent::variant`] (the compiler
-    /// enforces the match there is exhaustive; the guard test enforces
-    /// this list matches it).
-    pub const VARIANTS: [&'static str; 14] = [
-        "event",
-        "startup",
-        "bundle",
-        "end",
-        "renew",
-        "reattach",
-        "disconnect",
-        "touch",
-        "poll",
-        "metric",
-        "reap",
-        "tick",
-        "flush",
-        "reevaluate",
-    ];
-
-    /// The variant's name (see [`WalEvent::VARIANTS`]). The match is
-    /// deliberately exhaustive — adding a variant without extending
-    /// `VARIANTS` fails to compile here or fails the coverage guard.
-    pub fn variant(&self) -> &'static str {
-        match self {
-            WalEvent::Event { .. } => "event",
-            WalEvent::Startup { .. } => "startup",
-            WalEvent::Bundle { .. } => "bundle",
-            WalEvent::End { .. } => "end",
-            WalEvent::Renew { .. } => "renew",
-            WalEvent::Reattach { .. } => "reattach",
-            WalEvent::Disconnect { .. } => "disconnect",
-            WalEvent::Touch { .. } => "touch",
-            WalEvent::Poll { .. } => "poll",
-            WalEvent::Metric { .. } => "metric",
-            WalEvent::Reap { .. } => "reap",
-            WalEvent::Tick { .. } => "tick",
-            WalEvent::Flush { .. } => "flush",
-            WalEvent::Reevaluate { .. } => "reevaluate",
-        }
-    }
-
-    /// The controller clock at the moment the logged verb executed.
-    pub fn now(&self) -> f64 {
-        match self {
-            WalEvent::Event { now, .. }
-            | WalEvent::Startup { now, .. }
-            | WalEvent::Bundle { now, .. }
-            | WalEvent::End { now, .. }
-            | WalEvent::Renew { now, .. }
-            | WalEvent::Reattach { now, .. }
-            | WalEvent::Disconnect { now, .. }
-            | WalEvent::Touch { now, .. }
-            | WalEvent::Poll { now, .. }
-            | WalEvent::Metric { now, .. }
-            | WalEvent::Reap { now }
-            | WalEvent::Tick { now }
-            | WalEvent::Flush { now }
-            | WalEvent::Reevaluate { now } => *now,
-        }
-    }
-}
 
 /// The controller's complete control-plane state, as written into a
 /// snapshot file. Lossless for everything decisions depend on; optimizer
@@ -352,6 +178,35 @@ pub struct RecoveryInfo {
     pub torn_tail: bool,
 }
 
+impl Controller {
+    /// Replays WAL record payloads onto this controller, the recovery
+    /// path shared by [`StateStore::open`] and the model checker's crash
+    /// cuts. Each record restores the clock it was logged at, then
+    /// re-enters [`Controller::handle_event`] — the entry the server
+    /// calls. No WAL is attached during replay, so nothing is re-logged.
+    /// An input that failed live fails identically on replay (the
+    /// controller is deterministic), and its error is discarded: the
+    /// failure may still have changed state that must be reproduced.
+    /// Returns the number of records replayed.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Persistence`] when a record is not UTF-8 or does not
+    /// parse as a `[now, event]` pair; records before it stay applied.
+    pub fn replay_wal(&mut self, records: &[Vec<u8>]) -> Result<u64, CoreError> {
+        debug_assert!(!self.wal_attached(), "replaying into a WAL-attached controller re-logs");
+        for payload in records {
+            let text =
+                std::str::from_utf8(payload).map_err(|e| persistence_err("wal record utf8", e))?;
+            let (now, event): (f64, HarmonyEvent) =
+                serde_json::from_str(text).map_err(|e| persistence_err("parse wal record", e))?;
+            self.set_time(now);
+            let _ = self.handle_event(event);
+        }
+        Ok(records.len() as u64)
+    }
+}
+
 /// A controller's durable home: a directory of generation-numbered
 /// snapshot + WAL pairs, the attached group-commit writer, and the
 /// checkpoint policy.
@@ -434,14 +289,7 @@ impl StateStore {
                         });
                     }
                 }
-                for payload in &read.records {
-                    let text = std::str::from_utf8(payload)
-                        .map_err(|e| persistence_err("wal record utf8", e))?;
-                    let event: WalEvent = serde_json::from_str(text)
-                        .map_err(|e| persistence_err("parse wal record", e))?;
-                    ctl.apply_wal_event(event);
-                    replayed += 1;
-                }
+                replayed = ctl.replay_wal(&read.records)?;
             }
         }
 

@@ -4,9 +4,10 @@
 //! same decisions — and persistence-off behavior must be bit-for-bit
 //! identical to the seed.
 
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
-use harmony_core::persist::DEFAULT_SNAPSHOT_EVERY;
+use harmony_core::persist::{DEFAULT_SNAPSHOT_EVERY, PERSIST_VERSION};
 use harmony_core::{
     CoalescePolicy, Controller, ControllerConfig, CoreError, HarmonyEvent, PersistedState,
     StateStore,
@@ -29,8 +30,10 @@ fn fresh_controller() -> Controller {
 }
 
 fn coalescing_controller() -> Controller {
-    let mut config = ControllerConfig::default();
-    config.coalesce = CoalescePolicy { window: 0.5, max_delay: 5.0, max_pending: 64 };
+    let config = ControllerConfig {
+        coalesce: CoalescePolicy { window: 0.5, max_delay: 5.0, max_pending: 64 },
+        ..ControllerConfig::default()
+    };
     Controller::new(Cluster::from_rsl(&sp2_cluster(8)).unwrap(), config)
 }
 
@@ -240,6 +243,47 @@ fn all_snapshots_damaged_refuses_fresh_start() {
     }
 }
 
+/// Every file in `dir` with its bytes.
+fn dir_contents(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (e.file_name().to_string_lossy().into_owned(), std::fs::read(e.path()).unwrap())
+        })
+        .collect()
+}
+
+#[test]
+fn version_one_state_dir_is_refused_and_left_in_place() {
+    let dir = scratch("v1");
+    let (mut ctl, store) = StateStore::open(&dir, fresh_controller).unwrap();
+    drive(&mut ctl);
+    store.sync().unwrap();
+    drop((ctl, store));
+
+    // Re-stamp the generation's snapshot as a version-1 build wrote it.
+    let snap = dir.join("harmony-00000001.snap");
+    let mut state: PersistedState =
+        serde_json::from_str(&std::fs::read_to_string(&snap).unwrap()).unwrap();
+    assert_eq!(state.version, PERSIST_VERSION);
+    state.version = 1;
+    std::fs::write(&snap, serde_json::to_string(&state).unwrap()).unwrap();
+    let before = dir_contents(&dir);
+
+    let err =
+        StateStore::open(&dir, || panic!("prior state exists; fresh() must not run")).unwrap_err();
+    match err {
+        CoreError::Persistence { detail } => {
+            let versions =
+                format!("snapshot version 1 does not match this build's {PERSIST_VERSION}");
+            assert!(detail.contains(&versions), "got: {detail}");
+        }
+        other => panic!("expected Persistence error, got {other:?}"),
+    }
+    assert_eq!(dir_contents(&dir), before, "a refused state dir is left as it was");
+}
+
 #[test]
 fn automatic_checkpoints_rotate_and_purge() {
     let dir = scratch("rotate");
@@ -311,5 +355,5 @@ fn pending_coalescing_window_survives_a_crash() {
 
 #[test]
 fn default_snapshot_cadence_is_sane() {
-    assert!(DEFAULT_SNAPSHOT_EVERY >= 1024, "checkpoints must not thrash the hot path");
+    const { assert!(DEFAULT_SNAPSHOT_EVERY >= 1024, "checkpoints must not thrash the hot path") };
 }

@@ -13,9 +13,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use harmony_core::{
-    Controller, ControllerConfig, HarmonyEvent, InstanceId, PersistedState, WalEvent,
-};
+use harmony_core::{Controller, ControllerConfig, HarmonyEvent, InstanceId, PersistedState};
 use harmony_harness::{config_for_seed, oracle, palette, Op, OpKind, PlantedBug};
 use harmony_harness::{ShadowLeases, Violation};
 use harmony_resources::Cluster;
@@ -385,7 +383,7 @@ impl Engine {
     /// Checks every crash cut the verb introduced. The path stream grows
     /// by `chunk`; for the prefix ending at each *new* record boundary,
     /// the truncated stream must decode clean and replay (through
-    /// [`Controller::apply_wal_event`], the recovery path) to a state
+    /// [`Controller::replay_wal`], the recovery path) to a state
     /// that is internally consistent; the full stream must replay to
     /// exactly the in-memory state (`recovery_fingerprint` equality —
     /// this is what catches a verb mutating state it never logged); and
@@ -497,15 +495,8 @@ impl Engine {
             ));
         }
         let mut ctl = self.genesis_controller();
-        for r in &read.records {
-            let text = std::str::from_utf8(r).map_err(|e| {
-                Violation::new(step_index, "crash", format!("non-utf8 wal record: {e}"))
-            })?;
-            let ev: WalEvent = serde_json::from_str(text).map_err(|e| {
-                Violation::new(step_index, "crash", format!("unparseable wal record: {e}"))
-            })?;
-            ctl.apply_wal_event(ev);
-        }
+        ctl.replay_wal(&read.records)
+            .map_err(|e| Violation::new(step_index, "crash", format!("wal replay: {e}")))?;
         Ok((ctl, read.tail))
     }
 

@@ -124,6 +124,14 @@ pub enum RslError {
     /// Evaluation exceeded the recursion/step budget (malicious or
     /// pathological input).
     BudgetExceeded,
+    /// Braces or expression parentheses nest deeper than the parser's
+    /// bound; parsing stops here instead of exhausting the stack.
+    TooDeep {
+        /// The nesting bound that was exceeded.
+        limit: usize,
+        /// Where the first level past the bound opens.
+        pos: Pos,
+    },
 }
 
 impl RslError {
@@ -162,6 +170,9 @@ impl fmt::Display for RslError {
             RslError::DivideByZero => write!(f, "division by zero"),
             RslError::Schema { message } => write!(f, "schema error: {message}"),
             RslError::BudgetExceeded => write!(f, "evaluation budget exceeded"),
+            RslError::TooDeep { limit, pos } => {
+                write!(f, "nesting deeper than {limit} levels at {pos}")
+            }
         }
     }
 }
@@ -209,6 +220,7 @@ mod tests {
             RslError::DivideByZero,
             RslError::schema("bundle must have at least one option"),
             RslError::BudgetExceeded,
+            RslError::TooDeep { limit: 256, pos: Pos::start() },
         ];
         for e in cases {
             assert!(!e.to_string().is_empty());

@@ -429,8 +429,10 @@ mod tests {
 
     #[test]
     fn deep_expression_exhausts_budget_not_stack() {
-        // (((...1...))) — parser recursion is bounded by input size; the
-        // evaluator budget guards runaway evaluation cost.
+        // (((...1...))) — 200 levels sit inside the parser's
+        // `MAX_EXPR_DEPTH` bound (deeper input is refused before it can
+        // exhaust the stack); the evaluator budget guards runaway
+        // evaluation cost.
         let src = format!("{}1{}", "(".repeat(200), ")".repeat(200));
         assert_eq!(ev(&src), Value::Int(1));
     }

@@ -27,5 +27,5 @@ mod token;
 pub use ast::{BinOp, Expr, UnOp};
 pub use env::{ChainEnv, EmptyEnv, Env, FnEnv, MapEnv};
 pub use eval::{call_builtin, eval, eval_str};
-pub use parser::parse_expr;
+pub use parser::{parse_expr, MAX_EXPR_DEPTH};
 pub use token::{tokenize, Spanned, Tok};

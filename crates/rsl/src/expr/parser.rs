@@ -21,10 +21,24 @@ use crate::error::{Pos, Result, RslError};
 use crate::expr::ast::{BinOp, Expr, UnOp};
 use crate::expr::token::{tokenize, Spanned, Tok};
 
+/// The deepest expression nesting [`parse_expr`] accepts: parentheses,
+/// call arguments, ternary branches and prefix operators each count one
+/// level. The parser recurses several frames per level, so the bound keeps
+/// hostile input from overflowing a connection thread's stack.
+pub const MAX_EXPR_DEPTH: usize = 256;
+
+/// Binary precedence levels, loosest first.
+const OR: u8 = 1;
+const AND: u8 = 2;
+const CMP: u8 = 3;
+const ADD: u8 = 4;
+const MUL: u8 = 5;
+
 struct Parser<'s> {
     src: &'s str,
     toks: Vec<Spanned>,
     pos: usize,
+    depth: usize,
 }
 
 impl<'s> Parser<'s> {
@@ -61,96 +75,69 @@ impl<'s> Parser<'s> {
         }
     }
 
+    /// Runs `parse` one nesting level deeper, refusing past
+    /// [`MAX_EXPR_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Expr>) -> Result<Expr> {
+        if self.depth == MAX_EXPR_DEPTH {
+            return Err(RslError::TooDeep { limit: MAX_EXPR_DEPTH, pos: self.here() });
+        }
+        self.depth += 1;
+        let e = parse(self);
+        self.depth -= 1;
+        e
+    }
+
     fn ternary(&mut self) -> Result<Expr> {
-        let cond = self.or()?;
+        let cond = self.binary(OR)?;
         if self.peek() == Some(&Tok::Question) {
             self.pos += 1;
-            let then = self.ternary()?;
+            let then = self.nested(Self::ternary)?;
             self.expect(Tok::Colon, "`:`")?;
-            let els = self.ternary()?;
+            let els = self.nested(Self::ternary)?;
             Ok(Expr::Ternary(Box::new(cond), Box::new(then), Box::new(els)))
         } else {
             Ok(cond)
         }
     }
 
-    fn or(&mut self) -> Result<Expr> {
-        let mut lhs = self.and()?;
-        while self.peek() == Some(&Tok::OrOr) {
-            self.pos += 1;
-            let rhs = self.and()?;
-            lhs = Expr::Binary(BinOp::Or, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+    /// The binary operator at the cursor with its precedence level
+    /// (1 `||` … 5 multiplicative).
+    fn binary_op(&self) -> Option<(BinOp, u8)> {
+        Some(match self.peek()? {
+            Tok::OrOr => (BinOp::Or, OR),
+            Tok::AndAnd => (BinOp::And, AND),
+            Tok::EqEq => (BinOp::Eq, CMP),
+            Tok::NotEq => (BinOp::Ne, CMP),
+            Tok::Lt => (BinOp::Lt, CMP),
+            Tok::Le => (BinOp::Le, CMP),
+            Tok::Gt => (BinOp::Gt, CMP),
+            Tok::Ge => (BinOp::Ge, CMP),
+            Tok::Plus => (BinOp::Add, ADD),
+            Tok::Minus => (BinOp::Sub, ADD),
+            Tok::Star => (BinOp::Mul, MUL),
+            Tok::Slash => (BinOp::Div, MUL),
+            Tok::Percent => (BinOp::Rem, MUL),
+            _ => return None,
+        })
     }
 
-    fn and(&mut self) -> Result<Expr> {
-        let mut lhs = self.cmp()?;
-        while self.peek() == Some(&Tok::AndAnd) {
+    /// Precedence climbing over the `or` … `mul` rules: binary operators
+    /// of level `min_prec` and above, left-associative. One frame per
+    /// operand instead of one per grammar rule keeps the stack cost of
+    /// each parenthesis level small.
+    fn binary(&mut self, min_prec: u8) -> Result<Expr> {
+        let mut lhs = self.unary()?;
+        while let Some((op, prec)) = self.binary_op().filter(|&(_, p)| p >= min_prec) {
             self.pos += 1;
-            let rhs = self.cmp()?;
-            lhs = Expr::Binary(BinOp::And, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn cmp_op(&self) -> Option<BinOp> {
-        match self.peek() {
-            Some(Tok::EqEq) => Some(BinOp::Eq),
-            Some(Tok::NotEq) => Some(BinOp::Ne),
-            Some(Tok::Lt) => Some(BinOp::Lt),
-            Some(Tok::Le) => Some(BinOp::Le),
-            Some(Tok::Gt) => Some(BinOp::Gt),
-            Some(Tok::Ge) => Some(BinOp::Ge),
-            _ => None,
-        }
-    }
-
-    fn cmp(&mut self) -> Result<Expr> {
-        let lhs = self.add()?;
-        if let Some(op) = self.cmp_op() {
-            self.pos += 1;
-            let rhs = self.add()?;
+            let rhs = self.binary(prec + 1)?;
             // Reject chained comparisons: `a < b < c` is almost always a bug.
-            if self.cmp_op().is_some() {
+            if prec == CMP && self.binary_op().is_some_and(|(_, p)| p == CMP) {
                 return Err(RslError::ExpectedToken {
                     expected: "no chained comparison (use `&&`)",
                     found: self.found(),
                     pos: self.here(),
                 });
             }
-            Ok(Expr::Binary(op, Box::new(lhs), Box::new(rhs)))
-        } else {
-            Ok(lhs)
-        }
-    }
-
-    fn add(&mut self) -> Result<Expr> {
-        let mut lhs = self.mul()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Plus) => BinOp::Add,
-                Some(Tok::Minus) => BinOp::Sub,
-                _ => break,
-            };
-            self.pos += 1;
-            let rhs = self.mul()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn mul(&mut self) -> Result<Expr> {
-        let mut lhs = self.unary()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Star) => BinOp::Mul,
-                Some(Tok::Slash) => BinOp::Div,
-                Some(Tok::Percent) => BinOp::Rem,
-                _ => break,
-            };
-            self.pos += 1;
-            let rhs = self.unary()?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
         Ok(lhs)
@@ -160,11 +147,11 @@ impl<'s> Parser<'s> {
         match self.peek() {
             Some(Tok::Minus) => {
                 self.pos += 1;
-                Ok(Expr::Unary(UnOp::Neg, Box::new(self.unary()?)))
+                Ok(Expr::Unary(UnOp::Neg, Box::new(self.nested(Self::unary)?)))
             }
             Some(Tok::Bang) => {
                 self.pos += 1;
-                Ok(Expr::Unary(UnOp::Not, Box::new(self.unary()?)))
+                Ok(Expr::Unary(UnOp::Not, Box::new(self.nested(Self::unary)?)))
             }
             _ => self.primary(),
         }
@@ -181,7 +168,7 @@ impl<'s> Parser<'s> {
                     let mut args = Vec::new();
                     if self.peek() != Some(&Tok::RParen) {
                         loop {
-                            args.push(self.ternary()?);
+                            args.push(self.nested(Self::ternary)?);
                             if self.peek() == Some(&Tok::Comma) {
                                 self.pos += 1;
                             } else {
@@ -196,7 +183,7 @@ impl<'s> Parser<'s> {
                 }
             }
             Some(Tok::LParen) => {
-                let e = self.ternary()?;
+                let e = self.nested(Self::ternary)?;
                 self.expect(Tok::RParen, "`)`")?;
                 Ok(e)
             }
@@ -213,8 +200,9 @@ impl<'s> Parser<'s> {
 ///
 /// # Errors
 ///
-/// Returns tokenizer errors and [`RslError::ExpectedToken`] for grammar
-/// violations (including trailing tokens after a complete expression).
+/// Returns tokenizer errors, [`RslError::ExpectedToken`] for grammar
+/// violations (including trailing tokens after a complete expression), and
+/// [`RslError::TooDeep`] past [`MAX_EXPR_DEPTH`] nesting levels.
 ///
 /// # Examples
 ///
@@ -226,7 +214,7 @@ impl<'s> Parser<'s> {
 /// ```
 pub fn parse_expr(src: &str) -> Result<Expr> {
     let toks = tokenize(src)?;
-    let mut p = Parser { src, toks, pos: 0 };
+    let mut p = Parser { src, toks, pos: 0, depth: 0 };
     let e = p.ternary()?;
     if p.peek().is_some() {
         return Err(RslError::ExpectedToken {
@@ -338,6 +326,24 @@ mod tests {
     fn fig3_expression_parses() {
         let e = parse_expr("44 + (client.memory > 24 ? 24 : client.memory) - 17").unwrap();
         assert_eq!(e.free_names(), vec!["client.memory".to_string()]);
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_recursed_without_limit() {
+        let parens = |n: usize| format!("{}1{}", "(".repeat(n), ")".repeat(n));
+        assert!(parse_expr(&parens(MAX_EXPR_DEPTH)).is_ok());
+        let err = parse_expr(&parens(MAX_EXPR_DEPTH + 1)).unwrap_err();
+        assert!(matches!(err, RslError::TooDeep { limit: MAX_EXPR_DEPTH, .. }), "{err:?}");
+        // Prefix operators, call arguments and ternary branches nest too.
+        let negs = format!("{}1", "-".repeat(MAX_EXPR_DEPTH + 1));
+        assert!(matches!(parse_expr(&negs), Err(RslError::TooDeep { .. })));
+        let calls =
+            format!("{}1{}", "min(".repeat(MAX_EXPR_DEPTH + 1), ")".repeat(MAX_EXPR_DEPTH + 1));
+        assert!(matches!(parse_expr(&calls), Err(RslError::TooDeep { .. })));
+        let ternaries = format!("{}1", "a ? 1 : ".repeat(MAX_EXPR_DEPTH + 1));
+        assert!(matches!(parse_expr(&ternaries), Err(RslError::TooDeep { .. })));
+        // Thousands of levels are refused, not a stack overflow.
+        assert!(matches!(parse_expr(&parens(3_000)), Err(RslError::TooDeep { .. })));
     }
 
     #[test]

@@ -278,16 +278,34 @@ pub fn split_spanned(src: &str) -> Result<Vec<(Item, Span)>> {
     split_spanned_range(src, 0, src.len())
 }
 
-fn parse_tree_spanned_range(full: &str, lo: usize, hi: usize) -> Result<Vec<SpannedNode>> {
+/// The deepest brace nesting [`parse_tree`] accepts. Each level is one
+/// recursive call here and in every pass over the tree, so the bound keeps
+/// hostile input (a wire frame of nested braces) from overflowing a
+/// connection thread's stack; real RSL nests a handful of levels.
+pub const MAX_LIST_DEPTH: usize = 256;
+
+fn parse_tree_spanned_range(
+    full: &str,
+    lo: usize,
+    hi: usize,
+    depth: usize,
+) -> Result<Vec<SpannedNode>> {
     let items = split_spanned_range(full, lo, hi)?;
     let mut nodes = Vec::with_capacity(items.len());
     for (item, span) in items {
         nodes.push(match item {
             Item::Word(w) => SpannedNode::Word(w, span),
+            Item::Braced(_) if depth == MAX_LIST_DEPTH => {
+                return Err(RslError::TooDeep {
+                    limit: MAX_LIST_DEPTH,
+                    pos: Pos::at(full, span.start),
+                });
+            }
             Item::Braced(_) => {
                 // The raw inner text sits between the braces, so child
                 // offsets stay absolute in the original source.
-                let children = parse_tree_spanned_range(full, span.start + 1, span.end - 1)?;
+                let children =
+                    parse_tree_spanned_range(full, span.start + 1, span.end - 1, depth + 1)?;
                 SpannedNode::List(children, span)
             }
         });
@@ -301,7 +319,9 @@ fn parse_tree_spanned_range(full: &str, lo: usize, hi: usize) -> Result<Vec<Span
 /// # Errors
 ///
 /// Propagates the same errors as [`split`] from any nesting level, with
-/// positions resolved against the original `src`.
+/// positions resolved against the original `src`, and returns
+/// [`RslError::TooDeep`] for braces nested deeper than
+/// [`MAX_LIST_DEPTH`].
 pub fn parse_tree(src: &str) -> Result<Vec<Node>> {
     Ok(parse_tree_spanned(src)?.iter().map(SpannedNode::to_node).collect())
 }
@@ -309,7 +329,7 @@ pub fn parse_tree(src: &str) -> Result<Vec<Node>> {
 /// Like [`parse_tree`], but every node carries the byte [`Span`] it covers
 /// in `src`. Word spans include quotes; list spans include the braces.
 pub fn parse_tree_spanned(src: &str) -> Result<Vec<SpannedNode>> {
-    parse_tree_spanned_range(src, 0, src.len())
+    parse_tree_spanned_range(src, 0, src.len(), 0)
 }
 
 /// Renders a node forest back to canonical text (single spaces, canonical
@@ -490,5 +510,21 @@ mod tests {
         let plain: Vec<Node> = spanned.iter().map(SpannedNode::to_node).collect();
         assert_eq!(plain, parse_tree(src).unwrap());
         assert_eq!(spanned[1].canonical(), "{a {b 2}}");
+    }
+
+    #[test]
+    fn brace_nesting_is_bounded() {
+        let braces = |n: usize| format!("{}x{}", "{".repeat(n), "}".repeat(n));
+        assert!(parse_tree(&braces(MAX_LIST_DEPTH)).is_ok());
+        let src = format!("a {}", braces(MAX_LIST_DEPTH + 1));
+        match parse_tree(&src).unwrap_err() {
+            RslError::TooDeep { limit, pos } => {
+                assert_eq!(limit, MAX_LIST_DEPTH);
+                // Blames the first brace past the bound.
+                assert_eq!(pos.offset, 2 + MAX_LIST_DEPTH);
+            }
+            other => panic!("unexpected error: {other:?}"),
+        }
+        assert!(matches!(parse_tree(&braces(20_000)), Err(RslError::TooDeep { .. })));
     }
 }
